@@ -149,7 +149,7 @@ func grace(w io.Writer, seed int64) error {
 	fmt.Fprintf(w, "attacker compromises node 1 during its discovery window: live K captured = %v\n", got)
 
 	stolen := victim.CompromiseMaster()
-	forgedNeighbors := nodeid.NewSet(10, 11, 12)
+	forgedNeighbors := []nodeid.ID{10, 11, 12}
 	c, err := stolen.BindingCommitment(1, 0, forgedNeighbors)
 	if err != nil {
 		return err

@@ -358,7 +358,9 @@ func TestDistConnectedTraceAcrossFleet(t *testing.T) {
 	startTracedWorker(t, ts, "w1", 1)
 	startTracedWorker(t, ts, "w2", 1)
 
-	job, code := postJob(t, ts, `{"experiment":"test-dist","params":{"Points":3,"Trials":4,"Seed":41}}`)
+	// Each trial sleeps, so the first worker is still on its batch when
+	// the second polls: both must end up serving the sweep.
+	job, code := postJob(t, ts, `{"experiment":"test-dist","params":{"Points":3,"Trials":4,"Seed":41,"SleepMs":20}}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}

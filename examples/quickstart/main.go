@@ -55,7 +55,7 @@ func run() error {
 		}
 	}
 	u := nodes[10]
-	fmt.Printf("node %v binds itself to N(u) = %v\n", u.ID(), u.Record().Neighbors.Sorted())
+	fmt.Printf("node %v binds itself to N(u) = %v\n", u.ID(), u.Record().Neighbors)
 	fmt.Printf("binding commitment C(u) = %v\n", u.Record().Commitment)
 
 	// u collects and authenticates every tentative neighbor's record.
@@ -63,7 +63,7 @@ func run() error {
 		if err := u.ReceiveBindingRecord(nodes[v].Record()); err != nil {
 			return fmt.Errorf("record from %v: %w", v, err)
 		}
-		fmt.Printf("authenticated R(%v) with K: N(%v) = %v\n", v, v, nodes[v].Record().Neighbors.Sorted())
+		fmt.Printf("authenticated R(%v) with K: N(%v) = %v\n", v, v, nodes[v].Record().Neighbors)
 	}
 
 	// Validation: |N(u) ∩ N(v)| ≥ t+1, then K is erased.
@@ -88,7 +88,7 @@ func run() error {
 	// A forged record is useless: without K the commitment cannot be made.
 	fmt.Println("\n== What an attacker without K can do: nothing ==")
 	forged := nodes[4].Record()
-	forged.Neighbors.Add(99) // claim a neighbor it never had
+	forged.Neighbors = append(forged.Neighbors, 99) // claim a neighbor it never had
 	probe, err := snd.NewNode(11, master, cfg)
 	if err != nil {
 		return err

@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"slices"
 	"testing"
 
 	"snd/internal/core"
@@ -47,8 +48,8 @@ func TestCaptureAfterErasureYieldsNoKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Neighbors.Equal(nodeid.NewSet(2, 3)) {
-		t.Errorf("captured record neighbors = %v", rec.Neighbors.Sorted())
+	if !slices.Equal(rec.Neighbors, []nodeid.ID{2, 3}) {
+		t.Errorf("captured record neighbors = %v", rec.Neighbors)
 	}
 }
 

@@ -222,14 +222,20 @@ func (r *runner) run() {
 	}
 	for {
 		select {
-		case msg, ok := <-r.trx.Inbox():
-			if !ok {
-				return
+		case _, attached := <-r.trx.Ready():
+			for {
+				msg, ok := r.trx.TryRecv()
+				if !ok {
+					break
+				}
+				r.handle(msg)
+				if r.expected != nil && r.expected.Len() == 0 {
+					r.finishDiscovery()
+					timeout = nil
+				}
 			}
-			r.handle(msg)
-			if r.expected != nil && r.expected.Len() == 0 {
-				r.finishDiscovery()
-				timeout = nil
+			if !attached {
+				return
 			}
 		case <-timeout:
 			// Lossy medium: some records never arrived. Validate with

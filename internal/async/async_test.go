@@ -8,6 +8,7 @@ import (
 	"snd/internal/crypto"
 	"snd/internal/deploy"
 	"snd/internal/geometry"
+	"snd/internal/nodeid"
 	"snd/internal/radio"
 	"snd/internal/topology"
 	"snd/internal/verify"
@@ -211,7 +212,7 @@ func TestAsyncUpdateExtension(t *testing.T) {
 			budgetRespected = false
 		}
 		// Updates never shrink a record below its original neighborhood.
-		if rec.Neighbors.Len() < 1 {
+		if len(rec.Neighbors) < 1 {
 			t.Errorf("node %v ended with an empty record", rec.Node)
 		}
 	}
@@ -224,4 +225,34 @@ func TestAsyncUpdateExtension(t *testing.T) {
 	// Whether a specific wave's evidence lands depends on interleaving
 	// (evidence bound to a superseded version is correctly discarded), so
 	// only the occurrence and budget of updates are asserted.
+}
+
+// TestDetachEndsRunnerLoop: detaching a device's transceiver closes its
+// inbox, and the device's event loop exits on its own — the inbox's
+// closed ready signal, not Stop, ends it.
+func TestDetachEndsRunnerLoop(t *testing.T) {
+	l := deploy.NewLayout(geometry.NewField(100, 100))
+	a := l.Deploy(geometry.Point{X: 40, Y: 50}, 0)
+	b := l.Deploy(geometry.Point{X: 60, Y: 50}, 0)
+	m := radio.NewMedium(l, radio.Config{Range: 50, InboxSize: 8})
+	master, err := crypto.NewMasterKey(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a waits for b's record, which never comes: b is not running. The
+	// long timeout keeps a's loop blocked in select.
+	n := NewNetwork(l, m, master, Config{Threshold: 0, DiscoveryTimeout: time.Minute})
+	if _, err := n.StartDiscovery(a.Handle, nodeid.NewSet(b.Node)); err != nil {
+		t.Fatal(err)
+	}
+	n.mu.Lock()
+	r := at(n.runners, a.Handle)
+	n.mu.Unlock()
+	m.Detach(a.Handle)
+	select {
+	case <-r.done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("runner loop still running after its transceiver was detached")
+	}
+	n.Stop()
 }

@@ -47,7 +47,9 @@ func (e Envelope) Encode() ([]byte, error) {
 	out := []byte{byte(e.Type)}
 	switch e.Type {
 	case MsgHello, MsgRecord, MsgUpdateReply:
-		return append(out, e.Record.Encode()...), nil
+		out = make([]byte, 1, 1+e.Record.wireLen())
+		out[0] = byte(e.Type)
+		return e.Record.appendTo(out), nil
 	case MsgCommitment:
 		out = append(out, e.Commitment.From.Bytes()...)
 		out = append(out, e.Commitment.To.Bytes()...)
@@ -57,9 +59,8 @@ func (e Envelope) Encode() ([]byte, error) {
 		out = append(out, encodeEvidence(e.Evidence)...)
 		return out, nil
 	case MsgUpdateRequest:
-		rec := e.Update.Record.Encode()
-		out = binary.BigEndian.AppendUint32(out, uint32(len(rec)))
-		out = append(out, rec...)
+		out = binary.BigEndian.AppendUint32(out, uint32(e.Update.Record.wireLen()))
+		out = e.Update.Record.appendTo(out)
 		out = binary.BigEndian.AppendUint32(out, uint32(len(e.Update.Evidences)))
 		for _, ev := range e.Update.Evidences {
 			out = append(out, encodeEvidence(ev)...)

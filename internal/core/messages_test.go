@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -12,7 +13,7 @@ func sampleRecord() BindingRecord {
 	return BindingRecord{
 		Node:       5,
 		Version:    2,
-		Neighbors:  nodeid.NewSet(1, 2, 3),
+		Neighbors:  []nodeid.ID{1, 2, 3},
 		Commitment: crypto.Hash([]byte("r")),
 	}
 }
@@ -39,8 +40,8 @@ func TestEnvelopeRecordTypesRoundTrip(t *testing.T) {
 		if got.Record.Node != 5 || got.Record.Version != 2 {
 			t.Errorf("type %d: record header %+v", typ, got.Record)
 		}
-		if !got.Record.Neighbors.Equal(nodeid.NewSet(1, 2, 3)) {
-			t.Errorf("type %d: neighbors %v", typ, got.Record.Neighbors.Sorted())
+		if !slices.Equal(got.Record.Neighbors, []nodeid.ID{1, 2, 3}) {
+			t.Errorf("type %d: neighbors %v", typ, got.Record.Neighbors)
 		}
 	}
 }
@@ -76,7 +77,7 @@ func TestEnvelopeUpdateRequestRoundTrip(t *testing.T) {
 	if got.Update.Evidences[1] != req.Evidences[1] {
 		t.Errorf("evidence[1] = %+v", got.Update.Evidences[1])
 	}
-	if !got.Update.Record.Neighbors.Equal(req.Record.Neighbors) {
+	if !slices.Equal(got.Update.Record.Neighbors, req.Record.Neighbors) {
 		t.Error("record neighbors mismatch")
 	}
 	// Empty evidence list also round-trips.
@@ -131,9 +132,9 @@ func TestDecodeUpdateRequestEvidenceCountMismatch(t *testing.T) {
 }
 
 func BenchmarkEnvelopeHelloRoundTrip(b *testing.B) {
-	neighbors := nodeid.NewSet()
+	var neighbors []nodeid.ID
 	for i := nodeid.ID(1); i <= 150; i++ {
-		neighbors.Add(i)
+		neighbors = append(neighbors, i)
 	}
 	e := Envelope{Type: MsgHello, Record: BindingRecord{
 		Node: 200, Neighbors: neighbors, Commitment: crypto.Hash([]byte("x")),

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"snd/internal/crypto"
 	"snd/internal/nodeid"
@@ -78,9 +80,9 @@ type Node struct {
 
 	record     BindingRecord
 	functional nodeid.Set
-	// pending holds the authenticated binding records collected during
-	// discovery, keyed by sender.
-	pending map[nodeid.ID]BindingRecord
+	// pending holds what validation needs of each authenticated binding
+	// record collected during discovery, keyed by sender.
+	pending map[nodeid.ID]heardRecord
 	// evidence buffers authenticated relation evidences received since the
 	// last binding-record update, keyed by issuer.
 	evidence map[nodeid.ID]RelationEvidence
@@ -106,7 +108,7 @@ func NewNode(id nodeid.ID, master *crypto.MasterKey, cfg Config) (*Node, error) 
 		phase:      PhaseInitialized,
 		master:     master.Clone(),
 		functional: nodeid.NewSet(),
-		pending:    make(map[nodeid.ID]BindingRecord),
+		pending:    make(map[nodeid.ID]heardRecord),
 		evidence:   make(map[nodeid.ID]RelationEvidence),
 	}
 	vk, err := n.master.VerificationKey(id)
@@ -148,8 +150,10 @@ func (n *Node) BeginDiscovery(tentative nodeid.Set) error {
 	if n.phase != PhaseInitialized {
 		return fmt.Errorf("%w: BeginDiscovery in phase %d", ErrPhase, n.phase)
 	}
-	neighbors := tentative.Clone()
-	neighbors.Remove(n.id)
+	neighbors := tentative.Sorted()
+	if i, ok := slices.BinarySearch(neighbors, n.id); ok {
+		neighbors = slices.Delete(neighbors, i, i+1)
+	}
 	c, err := n.master.BindingCommitment(n.id, 0, neighbors)
 	if err != nil {
 		return fmt.Errorf("core: commit binding record: %w", err)
@@ -170,7 +174,7 @@ func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
 	if n.phase != PhaseDiscovering {
 		return fmt.Errorf("%w: ReceiveBindingRecord in phase %d", ErrPhase, n.phase)
 	}
-	if !n.record.Neighbors.Contains(r.Node) {
+	if !nodeid.ContainsSorted(n.record.Neighbors, r.Node) {
 		return fmt.Errorf("%w: %v", ErrNotTentative, r.Node)
 	}
 	if int(r.Version) > n.cfg.MaxUpdates {
@@ -184,8 +188,23 @@ func (n *Node) ReceiveBindingRecord(r BindingRecord) error {
 	if !want.Equal(r.Commitment) {
 		return fmt.Errorf("%w: from %v", ErrBadRecord, r.Node)
 	}
-	n.pending[r.Node] = r.Clone()
+	// N(u) is fixed for the whole discovery phase, so the common-neighbor
+	// count the validation rule needs is final the moment R(v) verifies.
+	n.pending[r.Node] = heardRecord{
+		version: r.Version,
+		common:  nodeid.IntersectSortedLen(n.record.Neighbors, r.Neighbors),
+		bytes:   r.StorageBytes(),
+	}
 	return nil
+}
+
+// heardRecord is what discovery keeps of an authenticated binding record
+// R(v): the version its evidence is bound to, |N(u) ∩ N(v)|, and the
+// record's storage footprint.
+type heardRecord struct {
+	version uint32
+	common  int
+	bytes   int
 }
 
 // DiscoveryResult carries everything a freshly deployed node must transmit
@@ -204,21 +223,21 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 	if n.phase != PhaseDiscovering {
 		return nil, fmt.Errorf("%w: FinishDiscovery in phase %d", ErrPhase, n.phase)
 	}
-	res := &DiscoveryResult{}
+	res := &DiscoveryResult{Evidences: make([]RelationEvidence, 0, len(n.pending))}
 	for _, v := range sortedKeys(n.pending) {
 		r := n.pending[v]
 		// Evidence E(u,v) goes to every authenticated tentative neighbor,
 		// bound to the version of the record it presented.
-		ev, err := n.master.RelationEvidence(n.id, v, r.Version)
+		ev, err := n.master.RelationEvidence(n.id, v, r.version)
 		if err != nil {
 			return nil, fmt.Errorf("core: evidence for %v: %w", v, err)
 		}
 		n.hashOps++
 		res.Evidences = append(res.Evidences, RelationEvidence{
-			From: n.id, To: v, Version: r.Version, Digest: ev,
+			From: n.id, To: v, Version: r.version, Digest: ev,
 		})
 		// Validation rule: |N(u) ∩ N(v)| ≥ t+1.
-		if n.record.Neighbors.IntersectLen(r.Neighbors) < n.cfg.Threshold+1 {
+		if r.common < n.cfg.Threshold+1 {
 			continue
 		}
 		n.functional.Add(v)
@@ -232,7 +251,7 @@ func (n *Node) FinishDiscovery() (*DiscoveryResult, error) {
 		})
 	}
 	n.master.Erase()
-	n.pending = make(map[nodeid.ID]BindingRecord)
+	n.pending = make(map[nodeid.ID]heardRecord)
 	n.phase = PhaseOperational
 	return res, nil
 }
@@ -315,7 +334,8 @@ func (n *Node) ServeUpdateRequest(req UpdateRequest) (BindingRecord, error) {
 	if !want.Equal(r.Commitment) {
 		return BindingRecord{}, fmt.Errorf("%w: update request from %v", ErrBadRecord, r.Node)
 	}
-	updated := r.Neighbors.Clone()
+	updated := make([]nodeid.ID, len(r.Neighbors), len(r.Neighbors)+len(req.Evidences))
+	copy(updated, r.Neighbors)
 	for _, ev := range req.Evidences {
 		if ev.To != r.Node || ev.Version != r.Version {
 			return BindingRecord{}, fmt.Errorf("%w: evidence %v->%v v%d inconsistent with record v%d",
@@ -329,8 +349,9 @@ func (n *Node) ServeUpdateRequest(req UpdateRequest) (BindingRecord, error) {
 		if !wantEv.Equal(ev.Digest) {
 			return BindingRecord{}, fmt.Errorf("%w: from %v", ErrBadEvidence, ev.From)
 		}
-		updated.Add(ev.From)
+		updated = append(updated, ev.From)
 	}
+	updated = nodeid.Canonical(updated)
 	c, err := n.master.BindingCommitment(r.Node, r.Version+1, updated)
 	if err != nil {
 		return BindingRecord{}, fmt.Errorf("core: commit updated record: %w", err)
@@ -353,12 +374,13 @@ func (n *Node) ApplyUpdate(updated BindingRecord) error {
 	if updated.Version != n.record.Version+1 {
 		return fmt.Errorf("core: update version %d, want %d", updated.Version, n.record.Version+1)
 	}
-	for v := range n.record.Neighbors {
-		if !updated.Neighbors.Contains(v) {
+	updated.Neighbors = nodeid.Canonical(slices.Clone(updated.Neighbors))
+	for _, v := range n.record.Neighbors {
+		if !nodeid.ContainsSorted(updated.Neighbors, v) {
 			return fmt.Errorf("core: update dropped neighbor %v", v)
 		}
 	}
-	n.record = updated.Clone()
+	n.record = updated
 	// Evidence bound to the old version is now consumed.
 	n.evidence = make(map[nodeid.ID]RelationEvidence)
 	return nil
@@ -378,7 +400,7 @@ func (n *Node) StorageBytes() int {
 	if n.phase == PhaseDiscovering {
 		s += crypto.DigestSize // the master key K
 		for _, r := range n.pending {
-			s += r.StorageBytes()
+			s += r.bytes
 		}
 	}
 	return s
@@ -397,15 +419,9 @@ func (n *Node) Clone() *Node {
 		vkey:       n.vkey,
 		record:     n.record.Clone(),
 		functional: n.functional.Clone(),
-		pending:    make(map[nodeid.ID]BindingRecord, len(n.pending)),
-		evidence:   make(map[nodeid.ID]RelationEvidence, len(n.evidence)),
+		pending:    maps.Clone(n.pending),
+		evidence:   maps.Clone(n.evidence),
 		hashOps:    n.hashOps,
-	}
-	for k, v := range n.pending {
-		c.pending[k] = v.Clone()
-	}
-	for k, v := range n.evidence {
-		c.evidence[k] = v
 	}
 	return c
 }

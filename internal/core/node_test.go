@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -186,7 +187,7 @@ func TestBeginDiscoveryExcludesSelf(t *testing.T) {
 	if err := n.BeginDiscovery(nodeid.NewSet(1, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	if n.Record().Neighbors.Contains(1) {
+	if slices.Contains(n.Record().Neighbors, 1) {
 		t.Error("node listed itself as neighbor")
 	}
 }
@@ -206,7 +207,7 @@ func TestReceiveBindingRecordRejections(t *testing.T) {
 	}
 	// Forged commitment.
 	forged := b.Record()
-	forged.Neighbors.Add(42) // tamper with the list, keep old commitment
+	forged.Neighbors = append(forged.Neighbors, 42) // tamper with the list, keep old commitment
 	if err := a.ReceiveBindingRecord(forged); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("forged record err = %v", err)
 	}
@@ -324,7 +325,7 @@ func TestReplicaCannotJoinRemoteNeighborhood(t *testing.T) {
 	}
 	// The replica also cannot forge a record with local neighbors: it has
 	// no K to recompute the commitment, and a made-up commitment fails.
-	forged := BindingRecord{Node: 1, Version: 0, Neighbors: nodeid.NewSet(6, 7, 8, 9, 10), Commitment: crypto.Hash([]byte("fake"))}
+	forged := BindingRecord{Node: 1, Version: 0, Neighbors: []nodeid.ID{6, 7, 8, 9, 10}, Commitment: crypto.Hash([]byte("fake"))}
 	fresh2, err := NewNode(12, master, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -352,7 +353,7 @@ func TestGraceViolationBreaksScheme(t *testing.T) {
 		t.Fatal("expected live key during discovery window")
 	}
 	// Attacker forges a record placing node 1 in a remote neighborhood.
-	forgedNeighbors := nodeid.NewSet(6, 7, 8, 9)
+	forgedNeighbors := []nodeid.ID{6, 7, 8, 9}
 	c, err := stolen.BindingCommitment(1, 0, forgedNeighbors)
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +409,7 @@ func TestCloneIsDeep(t *testing.T) {
 	if clone.ID() != orig.ID() || clone.Phase() != orig.Phase() {
 		t.Error("clone header mismatch")
 	}
-	if !clone.Record().Neighbors.Equal(orig.Record().Neighbors) {
+	if !slices.Equal(clone.Record().Neighbors, orig.Record().Neighbors) {
 		t.Error("clone record mismatch")
 	}
 	// Commitment delivery to the clone must not affect the original.

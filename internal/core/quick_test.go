@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -57,7 +58,7 @@ func TestPropertyValidationRule(t *testing.T) {
 			if err := u.ReceiveBindingRecord(rec); err != nil {
 				return false
 			}
-			if u.Record().Neighbors.IntersectLen(rec.Neighbors) >= threshold+1 {
+			if nodeid.NewSet(u.Record().Neighbors...).IntersectLen(nodeid.NewSet(rec.Neighbors...)) >= threshold+1 {
 				wantFunctional.Add(v)
 			}
 		}
@@ -103,12 +104,13 @@ func TestPropertyTamperedRecordsNeverVerify(t *testing.T) {
 		// Mutate one field.
 		switch mutation % 4 {
 		case 0:
-			rec.Neighbors.Add(nodeid.ID(rng.Intn(100) + 200))
+			// Above every listed ID, so the list stays canonical.
+			rec.Neighbors = append(rec.Neighbors, nodeid.ID(rng.Intn(100)+200))
 		case 1:
-			if rec.Neighbors.Len() == 0 {
+			if len(rec.Neighbors) == 0 {
 				return true
 			}
-			rec.Neighbors.Remove(rec.Neighbors.Sorted()[0])
+			rec.Neighbors = rec.Neighbors[1:]
 		case 2:
 			rec.Version++
 		case 3:
@@ -166,12 +168,12 @@ func TestPropertyCommitmentForgeryFails(t *testing.T) {
 func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 	f := func(seed int64, kind uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		randSet := func() nodeid.Set {
+		randSet := func() []nodeid.ID {
 			s := nodeid.NewSet()
 			for i := 0; i < rng.Intn(20); i++ {
 				s.Add(nodeid.ID(rng.Intn(1000) + 1))
 			}
-			return s
+			return s.Sorted()
 		}
 		randDigest := func() crypto.Digest {
 			var d crypto.Digest
@@ -220,7 +222,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 		case MsgHello:
 			return got.Record.Node == e.Record.Node &&
 				got.Record.Version == e.Record.Version &&
-				got.Record.Neighbors.Equal(e.Record.Neighbors) &&
+				slices.Equal(got.Record.Neighbors, e.Record.Neighbors) &&
 				got.Record.Commitment.Equal(e.Record.Commitment)
 		case MsgCommitment:
 			return got.Commitment == e.Commitment
@@ -235,7 +237,7 @@ func TestPropertyEnvelopeRoundTrip(t *testing.T) {
 					return false
 				}
 			}
-			return got.Update.Record.Neighbors.Equal(e.Update.Record.Neighbors)
+			return slices.Equal(got.Update.Record.Neighbors, e.Update.Record.Neighbors)
 		}
 		return false
 	}
@@ -305,12 +307,12 @@ func TestPropertyUpdateMonotonicity(t *testing.T) {
 		if updated.Version != req.Record.Version+1 {
 			return false
 		}
-		for v := range req.Record.Neighbors {
-			if !updated.Neighbors.Contains(v) {
+		for _, v := range req.Record.Neighbors {
+			if !slices.Contains(updated.Neighbors, v) {
 				return false
 			}
 		}
-		return updated.Neighbors.Contains(50)
+		return slices.Contains(updated.Neighbors, 50)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)

@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"snd/internal/crypto"
 	"snd/internal/nodeid"
@@ -28,57 +29,75 @@ import (
 // tentative neighbor list. The record "binds node u to the place defined by
 // the set of nodes in N(u)".
 type BindingRecord struct {
-	Node       nodeid.ID
-	Version    uint32
-	Neighbors  nodeid.Set
+	Node    nodeid.ID
+	Version uint32
+	// Neighbors is N(u) in canonical form — ascending, duplicate-free —
+	// fixed when the record is committed: the order C(u) hashes and the
+	// wire carries. Holders treat it as read-only.
+	Neighbors  []nodeid.ID
 	Commitment crypto.Digest
 }
 
 // Clone returns an independent copy of the record.
 func (r BindingRecord) Clone() BindingRecord {
-	c := r
-	c.Neighbors = r.Neighbors.Clone()
-	return c
+	r.Neighbors = slices.Clone(r.Neighbors)
+	return r
 }
 
 // StorageBytes estimates the record's in-flash footprint: 4 (id) +
 // 4 (version) + 4·|N(u)| + 32 (commitment).
 func (r BindingRecord) StorageBytes() int {
-	return 4 + 4 + 4*r.Neighbors.Len() + crypto.DigestSize
+	return 4 + 4 + 4*len(r.Neighbors) + crypto.DigestSize
 }
+
+// wireLen is the length of the record's encoding.
+func (r BindingRecord) wireLen() int { return 12 + 4*len(r.Neighbors) + crypto.DigestSize }
 
 // Encode serializes the record: id(4) ‖ version(4) ‖ count(4) ‖ ids ‖
 // commitment(32).
 func (r BindingRecord) Encode() []byte {
-	ids := nodeid.EncodeList(r.Neighbors)
-	out := make([]byte, 0, 12+len(ids)+crypto.DigestSize)
-	out = append(out, r.Node.Bytes()...)
-	out = binary.BigEndian.AppendUint32(out, r.Version)
-	out = binary.BigEndian.AppendUint32(out, uint32(r.Neighbors.Len()))
-	out = append(out, ids...)
-	out = append(out, r.Commitment[:]...)
-	return out
+	return r.appendTo(make([]byte, 0, r.wireLen()))
 }
 
-// DecodeBindingRecord parses the encoding produced by Encode.
+func (r BindingRecord) appendTo(out []byte) []byte {
+	out = binary.BigEndian.AppendUint32(out, uint32(r.Node))
+	out = binary.BigEndian.AppendUint32(out, r.Version)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(r.Neighbors)))
+	for _, id := range r.Neighbors {
+		out = binary.BigEndian.AppendUint32(out, uint32(id))
+	}
+	return append(out, r.Commitment[:]...)
+}
+
+// DecodeBindingRecord parses the encoding produced by Encode. The neighbor
+// list comes back canonical: a list sent out of order or with repeats is
+// sorted and de-duplicated (it names the same set N(u), so it verifies
+// against the same commitment), while an already canonical list — every
+// honest encoding — is taken as parsed.
 func DecodeBindingRecord(b []byte) (BindingRecord, error) {
 	var r BindingRecord
 	if len(b) < 12+crypto.DigestSize {
 		return r, errors.New("core: binding record truncated")
 	}
-	id, _ := nodeid.FromBytes(b[0:4])
-	r.Node = id
+	r.Node = nodeid.ID(binary.BigEndian.Uint32(b[0:4]))
 	r.Version = binary.BigEndian.Uint32(b[4:8])
 	count := int(binary.BigEndian.Uint32(b[8:12]))
 	want := 12 + 4*count + crypto.DigestSize
 	if len(b) != want {
 		return r, fmt.Errorf("core: binding record length %d, want %d for %d neighbors", len(b), want, count)
 	}
-	set, ok := nodeid.DecodeList(b[12 : 12+4*count])
-	if !ok {
-		return r, errors.New("core: binding record neighbor list malformed")
+	ids := make([]nodeid.ID, count)
+	canonical := true
+	for i := range ids {
+		ids[i] = nodeid.ID(binary.BigEndian.Uint32(b[12+4*i:]))
+		if i > 0 && ids[i] <= ids[i-1] {
+			canonical = false
+		}
 	}
-	r.Neighbors = set
+	if !canonical {
+		ids = nodeid.Canonical(ids)
+	}
+	r.Neighbors = ids
 	copy(r.Commitment[:], b[12+4*count:])
 	return r, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"snd/internal/crypto"
@@ -76,11 +77,11 @@ func TestUpdateHappyPath(t *testing.T) {
 	if updated.Version != 1 {
 		t.Errorf("updated version = %d, want 1", updated.Version)
 	}
-	if !updated.Neighbors.Contains(5) {
+	if !slices.Contains(updated.Neighbors, 5) {
 		t.Error("evidenced neighbor 5 missing from updated record")
 	}
-	for v := range req.Record.Neighbors {
-		if !updated.Neighbors.Contains(v) {
+	for _, v := range req.Record.Neighbors {
+		if !slices.Contains(updated.Neighbors, v) {
 			t.Errorf("old neighbor %v dropped", v)
 		}
 	}
@@ -123,7 +124,7 @@ func TestUpdateEnablesValidationWithNewNodes(t *testing.T) {
 	if err := f.old.ApplyUpdate(updated); err != nil {
 		t.Fatal(err)
 	}
-	if !f.old.Record().Neighbors.Contains(5) {
+	if !slices.Contains(f.old.Record().Neighbors, 5) {
 		t.Error("record still stale after update")
 	}
 }
@@ -151,7 +152,7 @@ func TestServeUpdateRejectsForgedRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Record.Neighbors.Add(99) // tamper
+	req.Record.Neighbors = append(req.Record.Neighbors, 99) // tamper
 	if _, err := f.fresh.ServeUpdateRequest(req); !errors.Is(err, ErrBadRecord) {
 		t.Errorf("err = %v, want ErrBadRecord", err)
 	}
@@ -225,10 +226,8 @@ func TestApplyUpdateValidation(t *testing.T) {
 	// (dropping only the newly evidenced node would pass the superset
 	// check, so pick one from the pre-update record).
 	bad3 := updated.Clone()
-	for v := range f.old.Record().Neighbors {
-		bad3.Neighbors.Remove(v)
-		break
-	}
+	drop := f.old.Record().Neighbors[0]
+	bad3.Neighbors = slices.DeleteFunc(bad3.Neighbors, func(v nodeid.ID) bool { return v == drop })
 	if err := f.old.ApplyUpdate(bad3); err == nil {
 		t.Error("neighbor-dropping update applied")
 	}

@@ -13,6 +13,10 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"sync"
+
+	"snd/internal/nodeid"
 )
 
 // DigestSize is the size in bytes of every digest and key in this package.
@@ -41,26 +45,82 @@ func (d Digest) Equal(e Digest) bool {
 // length-prefixed framing, so that H(a‖b) can never collide with H(a'‖b')
 // for a different split of the same bytes.
 func Hash(parts ...[]byte) Digest {
-	h := sha256.New()
-	var lenBuf [4]byte
+	f := newFramer()
 	for _, p := range parts {
-		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
+		f.part(p)
 	}
-	var d Digest
-	h.Sum(d[:0])
-	return d
+	return f.sum()
 }
 
 // hashTagged is Hash with a leading domain-separation tag, so digests from
 // different protocol roles (verification key, binding commitment, ...) live
 // in disjoint codomains.
 func hashTagged(tag string, parts ...[]byte) Digest {
-	all := make([][]byte, 0, len(parts)+1)
-	all = append(all, []byte(tag))
-	all = append(all, parts...)
-	return Hash(all...)
+	f := newFramer()
+	f.part([]byte(tag))
+	for _, p := range parts {
+		f.part(p)
+	}
+	return f.sum()
+}
+
+// framer streams length-prefixed parts into SHA-256 — the framing behind
+// Hash — batching small writes through one buffer. Framers are pooled:
+// sum returns the framer to the pool, so it is the last call on one.
+type framer struct {
+	h   hash.Hash
+	n   int
+	buf [256]byte
+}
+
+var framers = sync.Pool{New: func() any { return &framer{h: sha256.New()} }}
+
+func newFramer() *framer { return framers.Get().(*framer) }
+
+func (f *framer) flush() {
+	f.h.Write(f.buf[:f.n])
+	f.n = 0
+}
+
+func (f *framer) uint32(v uint32) {
+	if f.n+4 > len(f.buf) {
+		f.flush()
+	}
+	binary.BigEndian.PutUint32(f.buf[f.n:], v)
+	f.n += 4
+}
+
+// part writes len(p) as a 4-byte big-endian prefix, then p.
+func (f *framer) part(p []byte) {
+	f.uint32(uint32(len(p)))
+	for len(p) > 0 {
+		if f.n == len(f.buf) {
+			f.flush()
+		}
+		c := copy(f.buf[f.n:], p)
+		f.n += c
+		p = p[c:]
+	}
+}
+
+// ids writes the part whose bytes are the 4-byte big-endian encodings of
+// ids in order, without materializing it.
+func (f *framer) ids(ids []nodeid.ID) {
+	f.uint32(uint32(4 * len(ids)))
+	for _, id := range ids {
+		f.uint32(uint32(id))
+	}
+}
+
+func (f *framer) sum() Digest {
+	f.flush()
+	var d Digest
+	copy(d[:], f.h.Sum(f.buf[:0]))
+	// Pooled framers must not carry key material between hashes.
+	f.buf = [len(f.buf)]byte{}
+	f.h.Reset()
+	framers.Put(f)
+	return d
 }
 
 func uint32Bytes(v uint32) []byte {

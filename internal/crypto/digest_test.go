@@ -1,9 +1,43 @@
 package crypto
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// referenceHash is the framing Hash is defined by, written the plain way:
+// one length prefix and one write per part, straight into SHA-256.
+func referenceHash(parts ...[]byte) Digest {
+	h := sha256.New()
+	var lenBuf [4]byte
+	for _, p := range parts {
+		binary.BigEndian.PutUint32(lenBuf[:], uint32(len(p)))
+		h.Write(lenBuf[:])
+		h.Write(p)
+	}
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
+
+// TestHashMatchesReferenceFraming checks the buffered framer against the
+// plain framing, with parts long enough to cross its buffer boundary.
+func TestHashMatchesReferenceFraming(t *testing.T) {
+	f := func(a, b []byte, n uint16) bool {
+		long := make([]byte, int(n)%1500)
+		for i := range long {
+			long[i] = byte(i * 7)
+		}
+		return Hash(a, long, b).Equal(referenceHash(a, long, b)) &&
+			hashTagged("t", b, a).Equal(referenceHash([]byte("t"), b, a)) &&
+			Hash().Equal(referenceHash())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
 
 func TestHashDeterministic(t *testing.T) {
 	a := Hash([]byte("hello"), []byte("world"))

@@ -94,15 +94,23 @@ func (k *MasterKey) VerificationKey(u nodeid.ID) (VerificationKey, error) {
 	return VerificationKey(hashTagged(tagVerificationKey, k.key, u.Bytes())), nil
 }
 
-// BindingCommitment computes C(u) = H(K‖i‖N(u)‖u) over the canonical
-// encoding of the tentative neighbor list. The version number i is part of
-// the commitment so that the update extension's records are distinguishable
+// BindingCommitment computes C(u) = H(K‖i‖N(u)‖u) over the tentative
+// neighbor list, which must be canonical (ascending, duplicate-free; see
+// nodeid.Canonical): N(u) is hashed as the one part holding the IDs'
+// 4-byte encodings in that order. The version number i is part of the
+// commitment so that the update extension's records are distinguishable
 // across versions.
-func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors nodeid.Set) (Digest, error) {
+func (k *MasterKey) BindingCommitment(u nodeid.ID, version uint32, neighbors []nodeid.ID) (Digest, error) {
 	if k.erased {
 		return Digest{}, ErrErased
 	}
-	return hashTagged(tagBindingCommitment, k.key, uint32Bytes(version), nodeid.EncodeList(neighbors), u.Bytes()), nil
+	f := newFramer()
+	f.part([]byte(tagBindingCommitment))
+	f.part(k.key)
+	f.part(uint32Bytes(version))
+	f.ids(neighbors)
+	f.part(u.Bytes())
+	return f.sum(), nil
 }
 
 // RelationEvidence computes E(u,v) = H(K‖u‖v‖i): node u's proof, issued

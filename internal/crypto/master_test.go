@@ -2,6 +2,7 @@ package crypto
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"snd/internal/nodeid"
@@ -34,29 +35,65 @@ func TestVerificationKeyDeterministicPerNode(t *testing.T) {
 
 func TestBindingCommitmentBindsAllInputs(t *testing.T) {
 	k := newTestMaster(t)
-	base, err := k.BindingCommitment(1, 0, nodeid.NewSet(2, 3))
+	base, err := k.BindingCommitment(1, 0, []nodeid.ID{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Insertion order must not matter (canonical list encoding).
-	same, _ := k.BindingCommitment(1, 0, nodeid.NewSet(3, 2))
+	// Insertion order must not matter once the list is canonical.
+	same, _ := k.BindingCommitment(1, 0, nodeid.Canonical([]nodeid.ID{3, 2, 3}))
 	if !base.Equal(same) {
-		t.Error("commitment depends on set insertion order")
+		t.Error("commitment depends on list insertion order")
 	}
 	// Changing any input changes the commitment.
-	if c, _ := k.BindingCommitment(2, 0, nodeid.NewSet(2, 3)); c.Equal(base) {
+	if c, _ := k.BindingCommitment(2, 0, []nodeid.ID{2, 3}); c.Equal(base) {
 		t.Error("commitment ignores node id")
 	}
-	if c, _ := k.BindingCommitment(1, 1, nodeid.NewSet(2, 3)); c.Equal(base) {
+	if c, _ := k.BindingCommitment(1, 1, []nodeid.ID{2, 3}); c.Equal(base) {
 		t.Error("commitment ignores version")
 	}
-	if c, _ := k.BindingCommitment(1, 0, nodeid.NewSet(2, 4)); c.Equal(base) {
+	if c, _ := k.BindingCommitment(1, 0, []nodeid.ID{2, 4}); c.Equal(base) {
 		t.Error("commitment ignores neighbor list")
 	}
 	// A different master key yields a different commitment.
 	k2 := newTestMaster(t)
-	if c, _ := k2.BindingCommitment(1, 0, nodeid.NewSet(2, 3)); c.Equal(base) {
+	if c, _ := k2.BindingCommitment(1, 0, []nodeid.ID{2, 3}); c.Equal(base) {
 		t.Error("commitment ignores master key")
+	}
+}
+
+// encodeSet is the set-based neighbor-list encoding binding commitments
+// were first defined over: the 4-byte encodings of the set's IDs in
+// ascending order. It is the reference form for the streamed commitment.
+func encodeSet(s nodeid.Set) []byte {
+	out := make([]byte, 0, 4*s.Len())
+	for _, id := range s.Sorted() {
+		out = append(out, id.Bytes()...)
+	}
+	return out
+}
+
+// TestBindingCommitmentMatchesSetEncoding pins every streamed commitment
+// over a canonical slice to the digest of the set-encoded form, so the
+// change of neighbor-list representation changed no bit of any C(u).
+func TestBindingCommitmentMatchesSetEncoding(t *testing.T) {
+	k := newTestMaster(t)
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		set := nodeid.NewSet()
+		// Trial 0 is the empty set; sizes reach past the framer's buffer.
+		for i := 0; i < trial%170; i++ {
+			set.Add(nodeid.ID(rng.Intn(1000) + 1))
+		}
+		u := nodeid.ID(rng.Intn(1000) + 1)
+		version := uint32(rng.Intn(4))
+		got, err := k.BindingCommitment(u, version, set.Sorted())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := referenceHash([]byte(tagBindingCommitment), k.key, uint32Bytes(version), encodeSet(set), u.Bytes())
+		if !got.Equal(want) {
+			t.Fatalf("trial %d (|N|=%d): streamed commitment %v != set-encoded %v", trial, set.Len(), got, want)
+		}
 	}
 }
 
@@ -85,7 +122,7 @@ func TestEraseBlocksEverything(t *testing.T) {
 	if _, err := k.VerificationKey(1); !errors.Is(err, ErrErased) {
 		t.Errorf("VerificationKey err = %v, want ErrErased", err)
 	}
-	if _, err := k.BindingCommitment(1, 0, nodeid.NewSet(2)); !errors.Is(err, ErrErased) {
+	if _, err := k.BindingCommitment(1, 0, []nodeid.ID{2}); !errors.Is(err, ErrErased) {
 		t.Errorf("BindingCommitment err = %v, want ErrErased", err)
 	}
 	if _, err := k.RelationEvidence(1, 2, 0); !errors.Is(err, ErrErased) {
@@ -159,9 +196,9 @@ func BenchmarkBindingCommitment(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	neighbors := nodeid.NewSet()
+	var neighbors []nodeid.ID
 	for i := nodeid.ID(1); i <= 150; i++ {
-		neighbors.Add(i)
+		neighbors = append(neighbors, i)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ package nodeid
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ID identifies a sensor node. The zero value None is reserved and never
@@ -180,9 +180,7 @@ func (s Set) Sorted() []ID {
 }
 
 // SortIDs sorts a slice of IDs in ascending order, in place.
-func SortIDs(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
+func SortIDs(ids []ID) { slices.Sort(ids) }
 
 // ContainsSorted reports whether the ascending slice ids contains id, by
 // binary search. It is the membership primitive of the compact (CSR)
@@ -222,30 +220,12 @@ func IntersectSortedLen(a, b []ID) int {
 	return n
 }
 
-// EncodeList returns the canonical byte encoding of a neighbor list: the
-// 4-byte encodings of the IDs in ascending order. Two equal sets always
-// encode identically, which makes the binding commitment well defined.
-func EncodeList(s Set) []byte {
-	ids := s.Sorted()
-	out := make([]byte, 0, 4*len(ids))
-	for _, id := range ids {
-		out = append(out, id.Bytes()...)
-	}
-	return out
-}
-
-// DecodeList parses the canonical encoding produced by EncodeList. It
-// returns false if b is not a multiple of 4 bytes.
-func DecodeList(b []byte) (Set, bool) {
-	if len(b)%4 != 0 {
-		return nil, false
-	}
-	s := make(Set, len(b)/4)
-	for i := 0; i < len(b); i += 4 {
-		id, _ := FromBytes(b[i : i+4])
-		s.Add(id)
-	}
-	return s, true
+// Canonical sorts ids ascending and drops duplicates, in place, returning
+// the shortened slice. The result is the canonical form of a neighbor
+// list: the order binding commitments hash and binding records encode.
+func Canonical(ids []ID) []ID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // Isomorphism is a bijective renaming of node IDs, as used by Definition 3

@@ -2,6 +2,7 @@ package nodeid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -146,33 +147,19 @@ func TestSortedIsAscending(t *testing.T) {
 	}
 }
 
-func TestEncodeListCanonical(t *testing.T) {
-	// Two sets built in different insertion orders must encode identically.
-	a := NewSet(3, 1, 2)
-	b := NewSet(2, 3, 1)
-	ea, eb := EncodeList(a), EncodeList(b)
-	if string(ea) != string(eb) {
-		t.Errorf("encodings differ: %x vs %x", ea, eb)
-	}
-}
-
-func TestEncodeDecodeListRoundTrip(t *testing.T) {
+func TestCanonicalMatchesSorted(t *testing.T) {
+	// Any order, with any repeats, canonicalizes to the set's sorted IDs.
 	f := func(raw []uint32) bool {
+		ids := make([]ID, len(raw))
 		s := make(Set, len(raw))
-		for _, v := range raw {
-			s.Add(ID(v))
+		for i, v := range raw {
+			ids[i] = ID(v % 64) // small range forces duplicates
+			s.Add(ids[i])
 		}
-		dec, ok := DecodeList(EncodeList(s))
-		return ok && dec.Equal(s)
+		return slices.Equal(Canonical(ids), s.Sorted())
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestDecodeListRejectsBadLength(t *testing.T) {
-	if _, ok := DecodeList(make([]byte, 5)); ok {
-		t.Error("DecodeList accepted 5 bytes")
 	}
 }
 

@@ -3,6 +3,8 @@ package radio
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"snd/internal/deploy"
@@ -10,53 +12,80 @@ import (
 	"snd/internal/nodeid"
 )
 
-// expectedReceivers is the delivery-set oracle: a transcription of the
-// pre-grid receiver rule, independent of the layout's spatial index. A
-// transmission from h addressed to `to` (None = broadcast) reaches every
-// attached, alive, in-range device — replicas of the addressee included —
-// unless sender or receiver sits in a jammed region. (Loss and overflow
-// are separate processes; the oracle assumes LossProb 0 and roomy
-// inboxes.)
-func expectedReceivers(l *deploy.Layout, m *Medium, h deploy.Handle, to nodeid.ID, jams []geometry.Circle) []deploy.Handle {
-	inJam := func(p geometry.Point) bool {
-		for _, c := range jams {
-			if c.Contains(p) {
-				return true
-			}
+// oracle is a transcription of the pre-grid receiver rule, independent
+// of the layout's spatial index and of the unicast fast path: a
+// transmission from h addressed to `to` (None = broadcast) is offered to
+// every attached, alive, in-range device — replicas of the addressee
+// included — found by a scan over all devices in handle order, and each
+// offer then runs the medium's drop sequence: jamming, then one loss draw
+// from the oracle's own RNG. Built with the medium's seed, the oracle
+// consumes the same draws in the same order, so its counters and delivery
+// lists must match the medium's exactly. (Inbox overflow is a separate
+// process; the oracle assumes roomy inboxes.)
+type oracle struct {
+	l     *deploy.Layout
+	m     *Medium
+	jams  []geometry.Circle
+	rng   *rand.Rand
+	count Counters
+}
+
+func newOracle(l *deploy.Layout, m *Medium, jams []geometry.Circle) *oracle {
+	return &oracle{l: l, m: m, jams: jams, rng: rand.New(rand.NewSource(m.cfg.Seed))}
+}
+
+func (o *oracle) inJam(p geometry.Point) bool {
+	for _, c := range o.jams {
+		if c.Contains(p) {
+			return true
 		}
-		return false
 	}
-	sender := l.Device(h)
-	if sender == nil || !sender.Alive || inJam(sender.Pos) {
+	return false
+}
+
+// transmit mirrors Medium.transmit for a send the medium accepted and
+// returns the receivers in delivery order.
+func (o *oracle) transmit(h deploy.Handle, to nodeid.ID, size int) []deploy.Handle {
+	sender := o.l.Device(h)
+	o.count.Sent++
+	o.count.BytesSent += size
+	if o.inJam(sender.Pos) {
+		o.count.LostJammed++
 		return nil
 	}
 	var out []deploy.Handle
-	for _, d := range l.Devices() {
-		if d.Handle == h || !d.Alive {
+	for _, d := range o.l.Devices() {
+		if d.Handle == h || !d.Alive || o.m.trxAt(d.Handle) == nil {
 			continue
 		}
-		if m.trxAt(d.Handle) == nil {
-			continue
-		}
-		if !sender.Pos.InRange(d.Pos, m.cfg.Range) {
+		if !sender.Pos.InRange(d.Pos, o.m.cfg.Range) {
 			continue
 		}
 		if to != nodeid.None && d.Node != to {
 			continue
 		}
-		if inJam(d.Pos) {
+		if o.inJam(d.Pos) {
+			o.count.LostJammed++
 			continue
 		}
+		if o.m.cfg.LossProb > 0 && o.rng.Float64() < o.m.cfg.LossProb {
+			o.count.LostRandom++
+			continue
+		}
+		o.count.Delivered++
+		o.count.BytesDelivered += size
 		out = append(out, d.Handle)
 	}
 	return out
 }
 
-// TestDeliverySetsMatchOracle cross-checks every transmission's receiver
-// set against the brute-force oracle on a randomized deployment with
-// replicas, dead devices, unattached devices, and a jamming region — the
-// proof that moving receiver resolution onto the grid index changed
-// nothing about who hears a frame.
+// TestDeliverySetsMatchOracle cross-checks every transmission against the
+// brute-force oracle, draw for draw, on a randomized lossy deployment with
+// replicas — near and far, dead, unattached, and unicasting to their own
+// ID — dead devices, unattached devices, and a jamming region: the proof
+// that resolving broadcasts on the grid index and unicasts through the
+// addressee's devices changed nothing about who hears a frame, or which
+// loss draw decides it.
 func TestDeliverySetsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	l := deploy.NewLayout(geometry.NewField(150, 150))
@@ -72,14 +101,30 @@ func TestDeliverySetsMatchOracle(t *testing.T) {
 		}
 		devs = append(devs, d)
 	}
+	// Replicas close to their originals, so unicasts to those IDs reach
+	// several devices — including one replica that will die and one that
+	// stays off the air.
+	var near []*deploy.Device
+	for i := 0; i < 4; i++ {
+		for k := 0; k < 3; k++ {
+			p := devs[i].Pos
+			d, err := l.DeployReplica(devs[i].Node, geometry.Point{X: p.X + rng.Float64()*20, Y: p.Y + rng.Float64()*20}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, d)
+			near = append(near, d)
+		}
+	}
+	unattached := near[1].Handle
 
-	m := NewMedium(l, Config{Range: 40, InboxSize: 256})
+	m := NewMedium(l, Config{Range: 40, LossProb: 0.3, Seed: 17, InboxSize: 256})
 	if !l.HasGrid() {
 		t.Fatal("NewMedium did not build the grid index")
 	}
 	// Attach most devices; leave every 7th off the air.
 	for i, d := range devs {
-		if i%7 == 3 {
+		if i%7 == 3 || d.Handle == unattached {
 			continue
 		}
 		if _, err := m.Attach(d.Handle); err != nil {
@@ -90,9 +135,14 @@ func TestDeliverySetsMatchOracle(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		l.Kill(devs[rng.Intn(len(devs))].Handle)
 	}
+	l.Kill(near[4].Handle)
 	jam := geometry.Circle{Center: geometry.Point{X: 40, Y: 110}, Radius: 25}
 	m.Jam(jam)
+	o := newOracle(l, m, []geometry.Circle{jam})
 
+	// drainAll empties every inbox in handle order; each transmission
+	// reaches a device at most once, so the receivers come back in
+	// delivery order.
 	drainAll := func() map[deploy.Handle][]deploy.Handle {
 		got := make(map[deploy.Handle][]deploy.Handle)
 		for _, d := range devs {
@@ -111,12 +161,12 @@ func TestDeliverySetsMatchOracle(t *testing.T) {
 		return got
 	}
 
-	check := func(kind string, from deploy.Handle, to nodeid.ID, delivered int, err error) {
+	send := func(kind string, from deploy.Handle, to nodeid.ID) {
 		t.Helper()
-		want := expectedReceivers(l, m, from, to, []geometry.Circle{jam})
+		payload := []byte(kind)
+		delivered, err := m.transmit(from, to, payload)
 		sender := l.Device(from)
-		attached := m.trxAt(from) != nil
-		if !attached || !sender.Alive {
+		if m.trxAt(from) == nil || !sender.Alive {
 			if err == nil {
 				t.Fatalf("%s from %d: send succeeded from an unattached/dead device", kind, from)
 			}
@@ -125,43 +175,47 @@ func TestDeliverySetsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s from %d: %v", kind, from, err)
 		}
+		want := o.transmit(from, to, len(payload))
 		if delivered != len(want) {
-			t.Fatalf("%s from %d: delivered %d, oracle says %d", kind, from, delivered, len(want))
+			t.Fatalf("%s from %d to %v: delivered %d, oracle says %d", kind, from, to, delivered, len(want))
 		}
-		got := drainAll()[from]
-		if len(got) != len(want) {
-			t.Fatalf("%s from %d: inboxes got %v, oracle %v", kind, from, got, want)
+		if got := drainAll()[from]; !slices.Equal(got, want) {
+			t.Fatalf("%s from %d to %v: inboxes got %v, oracle %v", kind, from, to, got, want)
 		}
-		wantSet := make(map[deploy.Handle]bool, len(want))
-		for _, h := range want {
-			wantSet[h] = true
-		}
-		for _, h := range got {
-			if !wantSet[h] {
-				t.Fatalf("%s from %d: device %d heard a frame the oracle excludes", kind, from, h)
-			}
+		if got := m.Counters(); got != o.count {
+			t.Fatalf("%s from %d to %v: counters %+v, oracle %+v", kind, from, to, got, o.count)
 		}
 	}
 
 	for _, d := range devs {
-		delivered, err := m.Broadcast(d.Handle, []byte("hello"))
-		check("broadcast", d.Handle, nodeid.None, delivered, err)
+		send("broadcast", d.Handle, nodeid.None)
 	}
 	// Unicasts to replicated identities: every alive in-range device
 	// claiming the ID — original or clone — must hear it.
 	for i := 0; i < 6; i++ {
 		for _, src := range devs[10:14] {
-			delivered, err := m.Unicast(src.Handle, devs[i].Node, []byte("to-you"))
-			check("unicast", src.Handle, devs[i].Node, delivered, err)
+			send("unicast", src.Handle, devs[i].Node)
 		}
+	}
+	// Every device unicasts to its neighbors' IDs and to its own: a
+	// replica addressing its own ID reaches the other devices claiming it.
+	for _, src := range devs {
+		send("self", src.Handle, src.Node)
+		for _, to := range []nodeid.ID{devs[0].Node, devs[1].Node, devs[rng.Intn(80)].Node} {
+			send("unicast", src.Handle, to)
+		}
+	}
+	if c := m.Counters(); c.LostRandom == 0 || c.Delivered == 0 {
+		t.Fatalf("loss process not exercised: %+v", c)
 	}
 }
 
 // TestLossDeterministicPerSeed pins the determinism the sorted iteration
 // order bought: with LossProb set, two media built over identical layouts
-// with the same seed drop exactly the same deliveries. (Pre-grid, the
-// receiver loop followed Go map order, so the loss RNG consumption — and
-// hence the delivery pattern — varied run to run.)
+// with the same seed drop exactly the same deliveries, broadcast and
+// unicast alike — replicas included. (Pre-grid, the receiver loop followed
+// Go map order, so the loss RNG consumption — and hence the delivery
+// pattern — varied run to run.)
 func TestLossDeterministicPerSeed(t *testing.T) {
 	build := func() (*deploy.Layout, []*deploy.Device) {
 		rng := rand.New(rand.NewSource(3))
@@ -169,6 +223,13 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 		var devs []*deploy.Device
 		for i := 0; i < 60; i++ {
 			devs = append(devs, l.Deploy(geometry.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 0))
+		}
+		for i := 0; i < 5; i++ {
+			d, err := l.DeployReplica(devs[i].Node, geometry.Point{X: rng.Float64() * 100, Y: rng.Float64() * 100}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			devs = append(devs, d)
 		}
 		return l, devs
 	}
@@ -181,15 +242,25 @@ func TestLossDeterministicPerSeed(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var log string
+		var log strings.Builder
 		for _, d := range devs {
 			n, err := m.Broadcast(d.Handle, []byte("x"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			log += fmt.Sprintf("%d:%d;", d.Handle, n)
+			fmt.Fprintf(&log, "%d:%d;", d.Handle, n)
 		}
-		return log
+		for i, d := range devs {
+			for _, to := range []nodeid.ID{devs[(i+1)%len(devs)].Node, devs[i%5].Node, d.Node} {
+				n, err := m.Unicast(d.Handle, to, []byte("y"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&log, "%d>%v:%d;", d.Handle, to, n)
+			}
+		}
+		fmt.Fprintf(&log, "%+v", m.Counters())
+		return log.String()
 	}
 
 	if a, b := run(), run(); a != b {

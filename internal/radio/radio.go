@@ -4,10 +4,10 @@
 // paper's communication-overhead results.
 //
 // The medium is safe for concurrent use. Each device attaches a Transceiver
-// whose inbox is a buffered channel, so the simulation can run either
+// whose inbox is a bounded FIFO queue, so the simulation can run either
 // synchronously (the engine drains inboxes between protocol steps) or with
-// one goroutine per node consuming its inbox — the concurrency model this
-// reproduction uses for its asynchronous engine.
+// one goroutine per node waiting on its inbox's ready signal — the
+// concurrency model this reproduction uses for its asynchronous engine.
 package radio
 
 import (
@@ -29,11 +29,12 @@ var (
 	ErrDeviceDead = errors.New("radio: device not alive")
 )
 
-// defaultInboxSize bounds each transceiver's buffered inbox. The buffer is
-// deliberately larger than the guideline one-or-none: it models a radio
-// driver's receive queue, a full queue drops packets (counted in
-// Counters.Overflow) rather than blocking the sender, which is exactly how
-// a real contention-free MAC with finite buffers degrades.
+// defaultInboxSize bounds each transceiver's inbox. The bound models a
+// radio driver's receive queue: a full queue drops packets (counted in
+// Counters.LostOverflow) rather than blocking the sender, which is exactly
+// how a real contention-free MAC with finite buffers degrades. The queue
+// grows on demand up to the bound, so a large bound costs nothing until
+// frames actually queue.
 const defaultInboxSize = 1024
 
 // Config parameterizes a medium.
@@ -162,7 +163,15 @@ func (m *Medium) Range() float64 { return m.cfg.Range }
 type Transceiver struct {
 	medium *Medium
 	handle deploy.Handle
-	inbox  chan Message
+
+	// The inbox is a FIFO of up to medium.cfg.InboxSize frames, grown on
+	// demand: queue[head:] is pending. ready holds one token whenever a
+	// frame may be pending, and is closed on detach. Enqueues and the
+	// close both run under medium.mu, so no token is sent after the close.
+	mu    sync.Mutex
+	queue []Message
+	head  int
+	ready chan struct{}
 }
 
 // Attach creates (or returns the existing) transceiver for device h.
@@ -178,19 +187,20 @@ func (m *Medium) Attach(h deploy.Handle) (*Transceiver, error) {
 	t := &Transceiver{
 		medium: m,
 		handle: h,
-		inbox:  make(chan Message, m.cfg.InboxSize),
+		ready:  make(chan struct{}, 1),
 	}
 	m.growTo(h)
 	m.trx[h-1] = t
 	return t, nil
 }
 
-// Detach removes device h's transceiver and closes its inbox.
+// Detach removes device h's transceiver and closes its inbox: frames
+// already queued stay receivable, and Ready is closed.
 func (m *Medium) Detach(h deploy.Handle) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if t := m.trxAt(h); t != nil {
-		close(t.inbox)
+		close(t.ready)
 		m.trx[h-1] = nil
 	}
 }
@@ -219,7 +229,8 @@ func (m *Medium) Broadcast(h deploy.Handle, payload []byte) (int, error) {
 // Unicast transmits payload from device h addressed to logical node `to`.
 // Every alive attached in-range device claiming that ID receives it — in
 // particular, replicas of a node receive unicasts meant for it, which is
-// what makes replication attacks work at this layer.
+// what makes replication attacks work at this layer. Receivers are those
+// a broadcast would reach, filtered to the addressee, in the same order.
 func (m *Medium) Unicast(h deploy.Handle, to nodeid.ID, payload []byte) (int, error) {
 	return m.transmit(h, to, payload)
 }
@@ -254,18 +265,18 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 		return 0, nil
 	}
 
-	// Receivers come from the layout's spatial index: the alive devices in
-	// range of the sender, in deployment order — the same set the old scan
-	// over every attached transceiver produced, but in O(k) and with a
-	// deterministic order, so the loss process below is reproducible per
-	// seed instead of following map iteration order.
+	// Receivers are the alive devices in range of the sender, visited in
+	// deployment order (ascending handle), so the loss process below is
+	// reproducible per seed. A broadcast takes them from the layout's
+	// spatial index in O(k). A unicast can only reach devices claiming
+	// the addressee's ID, so it visits just those — the original, then
+	// its replicas, already in handle order — and applies the range
+	// query's own test to each: the same receivers in the same order,
+	// without sweeping and sorting the whole neighborhood.
 	delivered := 0
-	m.layout.ForEachInRange(h, m.cfg.Range, func(rcv *deploy.Device) {
+	deliver := func(rcv *deploy.Device) {
 		t := m.trxAt(rcv.Handle)
 		if t == nil {
-			return
-		}
-		if to != nodeid.None && rcv.Node != to {
 			return
 		}
 		if m.inJam(rcv.Pos) {
@@ -276,14 +287,23 @@ func (m *Medium) transmit(h deploy.Handle, to nodeid.ID, payload []byte) (int, e
 			m.count.LostRandom++
 			return
 		}
-		select {
-		case t.inbox <- msg:
-			delivered++
-			m.count.Delivered++
-			m.count.BytesDelivered += len(body)
-			m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
-		default:
+		if !t.push(msg, m.cfg.InboxSize) {
 			m.count.LostOverflow++
+			return
+		}
+		delivered++
+		m.count.Delivered++
+		m.count.BytesDelivered += len(body)
+		m.energy[rcv.Handle-1] += m.cfg.Energy.RxPerByte * float64(len(body))
+	}
+	if to == nodeid.None {
+		m.layout.ForEachInRange(h, m.cfg.Range, deliver)
+		return delivered, nil
+	}
+	m.layout.ForEachDeviceOf(to, func(rcv *deploy.Device) {
+		// The range query's own test; it matches nothing at a negative range.
+		if rcv.Handle != h && rcv.Alive && m.cfg.Range >= 0 && sender.Pos.InRange(rcv.Pos, m.cfg.Range) {
+			deliver(rcv)
 		}
 	})
 	return delivered, nil
@@ -339,18 +359,51 @@ func (m *Medium) EnergyUsedBy(h deploy.Handle) float64 {
 // Handle returns the device this transceiver belongs to.
 func (t *Transceiver) Handle() deploy.Handle { return t.handle }
 
-// Inbox exposes the receive channel for goroutine-per-node consumers. The
-// channel is closed when the transceiver is detached.
-func (t *Transceiver) Inbox() <-chan Message { return t.inbox }
-
-// TryRecv performs a non-blocking receive, for the synchronous engine.
-func (t *Transceiver) TryRecv() (Message, bool) {
+// push enqueues msg unless limit frames are already pending, and signals
+// Ready. Callers hold the medium's lock.
+func (t *Transceiver) push(msg Message, limit int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.queue)-t.head >= limit {
+		return false
+	}
+	if t.head > 0 && len(t.queue) == cap(t.queue) {
+		// Reclaim the consumed prefix before growing.
+		n := copy(t.queue, t.queue[t.head:])
+		clear(t.queue[n:])
+		t.queue, t.head = t.queue[:n], 0
+	}
+	t.queue = append(t.queue, msg)
 	select {
-	case msg, ok := <-t.inbox:
-		return msg, ok
+	case t.ready <- struct{}{}:
 	default:
+	}
+	return true
+}
+
+// Ready returns the inbox's wake-up signal for goroutine-per-node
+// consumers: it yields a value after frames arrive, and is closed when
+// the transceiver is detached. A consumer woken by it drains the inbox
+// with TryRecv (frames queued before a detach stay receivable); a woken
+// consumer may find the inbox already empty.
+func (t *Transceiver) Ready() <-chan struct{} { return t.ready }
+
+// TryRecv performs a non-blocking receive of the oldest queued frame.
+func (t *Transceiver) TryRecv() (Message, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.head == len(t.queue) {
 		return Message{}, false
 	}
+	msg := t.queue[t.head]
+	t.queue[t.head] = Message{} // drop the payload reference
+	t.head++
+	if t.head == len(t.queue) {
+		// Drained: reuse the backing array from the front.
+		t.queue = t.queue[:0]
+		t.head = 0
+	}
+	return msg, true
 }
 
 // Drain receives every currently queued message without blocking.

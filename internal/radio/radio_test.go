@@ -241,7 +241,7 @@ func TestAttachIdempotentAndDetach(t *testing.T) {
 		t.Error("attached unknown device")
 	}
 	m.Detach(devs[0].Handle)
-	if _, ok := <-t1.Inbox(); ok {
+	if _, ok := <-t1.Ready(); ok {
 		t.Error("inbox not closed on detach")
 	}
 	m.Detach(devs[0].Handle) // second detach is a no-op

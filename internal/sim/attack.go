@@ -149,11 +149,11 @@ func (s *Simulation) ForgeFlood(from deploy.Handle, count int) error {
 		switch i % 3 {
 		case 0:
 			// Fabricated binding record claiming the victims as neighbors.
-			neighbors := nodeid.NewSet()
-			for _, v := range victims {
-				neighbors.Add(v.Node)
+			neighbors := make([]nodeid.ID, len(victims))
+			for j, v := range victims {
+				neighbors[j] = v.Node
 			}
-			rec := core.BindingRecord{Node: d.Node, Version: 0, Neighbors: neighbors}
+			rec := core.BindingRecord{Node: d.Node, Version: 0, Neighbors: nodeid.Canonical(neighbors)}
 			s.rng.Read(rec.Commitment[:])
 			payload = mustEncode(core.Envelope{Type: core.MsgRecord, Record: rec})
 		case 1:

@@ -135,10 +135,8 @@ func New(p Params) (*Simulation, error) {
 		a:        newArena(),
 	}
 	s.medium = radio.NewMedium(s.layout, radio.Config{
-		Range:    p.Range,
-		LossProb: p.LossProb,
-		// Dense rounds queue a few hundred frames per device between
-		// pump drains; size the driver queue so none drop spuriously.
+		Range:     p.Range,
+		LossProb:  p.LossProb,
 		InboxSize: 8192,
 		Seed:      p.Seed + 2,
 	})
